@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -38,8 +40,14 @@ type daemon struct {
 const sessionQueue = 1 << 16
 
 // pickLoopbackAddrs reserves n distinct loopback ports, holding every
-// listener open until all are picked so no two daemons share a port.
+// listener open until all are picked so no two daemons share a port. The
+// ports lie below the kernel's ephemeral range: between release and the
+// daemon's bind, a port inside it can be handed to another daemon's
+// outgoing connection, one below it never is.
 func pickLoopbackAddrs(n int) ([]string, error) {
+	hi := ephemeralLow()
+	lo := min(10000, hi/2)
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	addrs := make([]string, 0, n)
 	lns := make([]net.Listener, 0, n)
 	defer func() {
@@ -47,15 +55,30 @@ func pickLoopbackAddrs(n int) ([]string, error) {
 			_ = ln.Close()
 		}
 	}()
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	for tries := 0; len(addrs) < n && tries < 100*n; tries++ {
+		ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", lo+rng.Intn(hi-lo)))
 		if err != nil {
-			return nil, err
+			continue // in use
 		}
 		lns = append(lns, ln)
 		addrs = append(addrs, ln.Addr().String())
 	}
+	if len(addrs) < n {
+		return nil, fmt.Errorf("only %d of %d free loopback ports in [%d, %d)", len(addrs), n, lo, hi)
+	}
 	return addrs, nil
+}
+
+// ephemeralLow is the first port of the kernel's ephemeral range.
+func ephemeralLow() int {
+	if data, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range"); err == nil {
+		if f := strings.Fields(string(data)); len(f) == 2 {
+			if v, err := strconv.Atoi(f[0]); err == nil && v > 2048 {
+				return v
+			}
+		}
+	}
+	return 32768
 }
 
 // spawnDaemons launches n moved processes on loopback with default flags
@@ -212,6 +235,23 @@ func goroutines(d *daemon) (int, error) {
 		return 0, fmt.Errorf("goroutine header %q", line)
 	}
 	return strconv.Atoi(strings.TrimSpace(line[i+len("total "):]))
+}
+
+// collectGarbage runs a full collection in a daemon through its pprof heap
+// endpoint, which collects before writing the profile.
+func collectGarbage(d *daemon) error {
+	resp, err := httpClient.Get("http://" + d.debugAddr + "/debug/pprof/heap?gc=1")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s heap profile: %s", d.id, resp.Status)
+	}
+	return nil
 }
 
 // clkTck is the kernel's USER_HZ, the unit of utime/stime in /proc stat.

@@ -32,6 +32,10 @@ func main() {
 
 func hostCPUs() int { return runtime.NumCPU() }
 
+// daemons is the cluster size: a 2x2 allocation grid fits in four daemons,
+// and the workloads (allocation capacity, session owners) are sized for it.
+const daemons = 4
+
 func run() error {
 	workloadName := flag.String("workload", "fanout", "workload: fanout, match or grid-churn")
 	seed := flag.Int64("seed", 1, "input seed")
@@ -39,7 +43,6 @@ func run() error {
 	traceFlag := flag.Int("trace", 0, "1 = traced run printing per-layer metrics; 0 = end-to-end metrics")
 	movedBin := flag.String("moved", "", "path to a built moved binary")
 	workdir := flag.String("workdir", "", "directory for daemon logs")
-	nodes := flag.Int("daemons", 4, "moved daemons to spawn")
 	flag.Parse()
 
 	sp, ok := specs[*workloadName]
@@ -63,7 +66,7 @@ func run() error {
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
 
-	printHeader(out, sp, *seed, *nodes, traced)
+	printHeader(out, sp, *seed, traced)
 	wl := buildWorkload(sp, *seed)
 	fmt.Fprintf(out, "workload %s: %d stable filters, %d subscribers, %d-doc pool, %.1f stable matches/doc expected\n",
 		sp.name, len(wl.filters), len(wl.subs), len(wl.docs), float64(wl.expTotal)/float64(len(wl.docs)))
@@ -80,7 +83,7 @@ func run() error {
 		b = newBench(wl, dir)
 		b.traceOn = traced
 		t0 := time.Now()
-		err := b.setup(*movedBin, *nodes, &ai)
+		err := b.setup(*movedBin, daemons, &ai)
 		setupTimes = append(setupTimes, time.Since(t0).Seconds())
 		if err != nil {
 			b.teardown()
@@ -107,20 +110,23 @@ func run() error {
 			return err
 		}
 	} else {
-		fmt.Fprintf(out, "end-to-end metrics (sat: medians over 1 s windows):\n")
+		fmt.Fprintf(out, "end-to-end metrics (daemon CPU per document at the paced load, summed peak RSS, set-up time):\n")
 		for _, name := range res.order {
-			fmt.Fprintf(out, "  %-16s %14.4f %s\n", name, res.Metrics[name].Value, res.Metrics[name].Unit)
+			fmt.Fprintf(out, "  %-20s %14.4f %s\n", name, res.Metrics[name].Value, res.Metrics[name].Unit)
 		}
-		fmt.Fprintf(out, "sat throughput and paced latencies from due time (medians over 1 s windows; unbounded, per-layer in traced runs):\n")
+		fmt.Fprintf(out, "sat throughput and CPU per document, paced latencies from due time (medians over 1 s windows; unbounded, per-layer in traced runs):\n")
 		for _, name := range m.latency.order {
-			fmt.Fprintf(out, "  %-16s %14.4f %s\n", name, m.latency.Metrics[name].Value, m.latency.Metrics[name].Unit)
+			fmt.Fprintf(out, "  %-20s %14.4f %s\n", name, m.latency.Metrics[name].Value, m.latency.Metrics[name].Unit)
 		}
 	}
 	printResult(out, res)
+	if !res.Correct {
+		return fmt.Errorf("run incorrect: oracle violations, mechanism assertions or an unsustainable paced phase (see report)")
+	}
 	return nil
 }
 
-func printHeader(w *bufio.Writer, sp *spec, seed int64, nodes int, traced bool) {
+func printHeader(w *bufio.Writer, sp *spec, seed int64, traced bool) {
 	model := "unknown"
 	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
 		for _, line := range strings.Split(string(data), "\n") {
@@ -140,7 +146,7 @@ func printHeader(w *bufio.Writer, sp *spec, seed int64, nodes int, traced bool) 
 	}
 	fmt.Fprintf(w, "MOVE-bench %s, %s\n", sp.name, mode)
 	fmt.Fprintf(w, "host: cpu %q, nproc %d, generator GOMAXPROCS %d, daemon GOMAXPROCS %s, %s, %d moved daemons, seed %d, loopback TCP\n",
-		model, hostCPUs(), runtime.GOMAXPROCS(0), daemonProcs, runtime.Version(), nodes, seed)
+		model, hostCPUs(), runtime.GOMAXPROCS(0), daemonProcs, runtime.Version(), daemons, seed)
 	fmt.Fprintf(w, "why: %s\n", sp.why)
 }
 

@@ -27,7 +27,7 @@ type spec struct {
 	subs         int    // subscribers, each with one live session
 	docTerms     [2]int // min, max terms per document
 	docPool      int    // distinct documents, cycled with fresh IDs
-	churnEvery   int    // every churnEvery-th operation is a register or unregister
+	churnEvery   int    // every churnEvery-th operation is a register or unregister; 0 = none
 	churnLive    int    // churned filters kept registered at once
 	grid         bool   // MOVE placement: install allocation grids after warm-up
 	window       int    // sat: documents in flight
@@ -49,7 +49,6 @@ var specs = map[string]*spec{
 		vocab: 20000, filterZipf: 1.05, docZipf: 1.05,
 		filters: 200, filterTerms: [2]int{1, 2}, mode: model.MatchAny,
 		subs: 200, docTerms: [2]int{8, 8}, docPool: 4096,
-		churnEvery: 16, churnLive: 16,
 		window: 32, pacedRate: 250, setups: 3, warmDocs: 1500,
 		eventsFloor: 10,
 	},
@@ -59,7 +58,6 @@ var specs = map[string]*spec{
 		vocab: 20000, filterZipf: 1.05, docZipf: 0.15,
 		filters: 100000, filterTerms: [2]int{2, 3}, mode: model.MatchAll,
 		subs: 64, docTerms: [2]int{64, 128}, docPool: 2048,
-		churnEvery: 16, churnLive: 16,
 		window: 16, pacedRate: 100, setups: 1, warmDocs: 500,
 		eventsCeil: 16, postingFloor: 1000,
 	},
