@@ -12,9 +12,11 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -31,6 +33,7 @@ type daemon struct {
 	debugAddr string
 	subAddr   string
 	cmd       *exec.Cmd
+	exited    chan struct{} // closed once the process has exited and been reaped
 	logPath   string
 }
 
@@ -113,7 +116,17 @@ func spawnDaemons(dir, movedBin string, n int) ([]*daemon, error) {
 		d.cmd.Stderr = logF
 		// A daemon must not outlive the bench, even when it is killed.
 		d.cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
+		spawnedMu.Lock()
 		err = d.cmd.Start()
+		if err == nil {
+			d.exited = make(chan struct{})
+			go func(d *daemon) {
+				_ = d.cmd.Wait()
+				close(d.exited)
+			}(d)
+			spawned = append(spawned, d)
+		}
+		spawnedMu.Unlock()
 		logF.Close()
 		if err != nil {
 			return ds, fmt.Errorf("start %s: %w", d.id, err)
@@ -122,27 +135,47 @@ func spawnDaemons(dir, movedBin string, n int) ([]*daemon, error) {
 	return ds, nil
 }
 
-// stopDaemons terminates every daemon and waits for each to exit.
+// spawned lists every daemon started in this process, so stopOnSignal can
+// stop them all.
+var (
+	spawnedMu sync.Mutex
+	spawned   []*daemon
+)
+
+// stopOnSignal stops and reaps every daemon when the bench is interrupted or
+// terminated, then exits 1 without a result line.
+func stopOnSignal() {
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
+	go func() {
+		s := <-sigs
+		spawnedMu.Lock()
+		ds := append([]*daemon(nil), spawned...)
+		spawnedMu.Unlock()
+		stopDaemons(ds)
+		fmt.Fprintf(os.Stderr, "perfbench: %v: daemons stopped, no result\n", s)
+		os.Exit(1)
+	}()
+}
+
+// stopDaemons terminates every daemon and waits for each to exit. It may run
+// for the same daemons more than once, concurrently: every call returns only
+// once they have all exited.
 func stopDaemons(ds []*daemon) {
 	for _, d := range ds {
-		if d != nil && d.cmd != nil && d.cmd.Process != nil {
+		if d != nil && d.exited != nil {
 			_ = d.cmd.Process.Signal(syscall.SIGTERM)
 		}
 	}
 	for _, d := range ds {
-		if d == nil || d.cmd == nil || d.cmd.Process == nil {
+		if d == nil || d.exited == nil {
 			continue
 		}
-		done := make(chan struct{})
-		go func(d *daemon) {
-			_ = d.cmd.Wait()
-			close(done)
-		}(d)
 		select {
-		case <-done:
+		case <-d.exited:
 		case <-time.After(5 * time.Second):
 			_ = d.cmd.Process.Kill()
-			<-done
+			<-d.exited
 		}
 	}
 }

@@ -52,6 +52,7 @@ func run() error {
 	if *movedBin == "" || *workdir == "" {
 		return fmt.Errorf("-moved and -workdir are required")
 	}
+	stopOnSignal()
 	// One generator process using at most nproc threads.
 	runtime.GOMAXPROCS(min(runtime.GOMAXPROCS(0), hostCPUs()))
 	// The generator's per-document garbage is short-lived; collecting it
